@@ -45,7 +45,7 @@
 //
 // The copy-on-write set rung needs no announces at all: its whole
 // state is one root register, so the migrator freezes it by CASing a
-// sealed wrapper onto the root (set.Abortable.Seal). A writer parked
+// sealed record onto the root (set.Abortable.Seal). A writer parked
 // mid-update across the flip fails its stale root CAS against the
 // sealed root and re-dispatches through the record — the exact replay
 // pinned by sched.AdaptiveMigrationSchedule.

@@ -36,7 +36,7 @@ type setRec struct {
 	dst  int
 }
 
-// Set is the contention-adaptive sorted set: the copy-on-write list
+// Set is the contention-adaptive sorted set: the copy-on-write array
 // while small and calm (wait-free reads, trivial aborts), the
 // Harris/Michael list once size or abort rate says the single root is
 // the bottleneck, the split-ordered hash layer once the sorted walk
@@ -248,17 +248,13 @@ func (s *Set) helpQuiesced(pid int, rec *setRec) {
 	}
 }
 
-// buildRung constructs rung from an ascending snapshot, privately.
-// Descending inserts land each key at the head of the list engines, so
-// the rebuild is linear, not quadratic.
+// buildRung constructs rung from an ascending snapshot, privately, in
+// time linear in its length: the cow array is copied in one piece, and
+// descending inserts land each key at the head of the Harris list.
 func (s *Set) buildRung(pid, rung int, snap []uint64) any {
 	switch rung {
 	case rungCow:
-		c := set.NewAbortableObserved(s.obs)
-		for i := len(snap) - 1; i >= 0; i-- {
-			c.TryAdd(snap[i]) // private: never aborts
-		}
-		return c
+		return set.NewAbortableSorted(snap, s.obs)
 	case rungHarris:
 		h := set.NewHarrisObserved(s.n, s.obs)
 		for i := len(snap) - 1; i >= 0; i-- {

@@ -15,7 +15,7 @@ func init() {
 	register(Experiment{
 		ID:    "E19",
 		Title: "split-ordered hashing: O(1) expected set operations vs the O(n) lists",
-		Claim: "every list-shaped set backend pays per-operation work that grows with the resident key range — the COW ladder through path copies, the Harris list through full-prefix traversals — while the split-ordered hash layer over the SAME pooled Harris list walks one bucket chain whatever the range: its throughput stays roughly flat from 64 to 65536 keys as the others fall away, the table doubling (resize column) amortizes to O(1), and per-key conservation holds across lazy splits, adopted sentinels, and republished tables",
+		Claim: "every list-shaped set backend pays per-operation work that grows with the resident key range — the COW ladder through a whole-array copy on every update, the Harris list through full-prefix traversals — while the split-ordered hash layer over the SAME pooled Harris list walks one bucket chain whatever the range: its throughput stays roughly flat from 64 to 65536 keys as the others fall away, the table doubling (resize column) amortizes to O(1), and per-key conservation holds across lazy splits, adopted sentinels, and republished tables",
 		Run:   runE19,
 	})
 }
@@ -40,7 +40,7 @@ type e19Impl struct {
 // Harris list, and the split-ordered hash layer — whose instances can
 // produce the quiescent snapshot the conservation check walks. (The
 // guard-serialized backends are covered by E18's narrower ranges; at
-// 65536 keys their path copies would dominate the sweep.)
+// 65536 keys their array copies would dominate the sweep.)
 func e19Impls() []e19Impl {
 	var out []e19Impl
 	for _, b := range repro.CatalogByKind(repro.KindSet) {

@@ -17,7 +17,7 @@ func init() {
 	register(Experiment{
 		ID:    "E18",
 		Title: "set throughput vs read ratio: the list-based set tier across backends",
-		Claim: "membership traversals open a read-dominated workload shape the stack/queue tier never sees: backends with wait-free or guard-free Contains (sensitive, non-blocking over the COW list) keep read-mostly throughput high, the lock-free Harris list trades per-read validation for disjoint-window updates, and the key range is the contention knob — small ranges collide constantly, large ranges rarely; per-key add/remove accounting must balance on every backend whatever the mix",
+		Claim: "membership traversals open a read-dominated workload shape the stack/queue tier never sees: backends with wait-free or guard-free Contains (sensitive, non-blocking over the COW sorted array) keep read-mostly throughput high, the lock-free Harris list trades per-read validation for disjoint-window updates, and the key range is the contention knob — small ranges collide constantly, large ranges rarely; per-key add/remove accounting must balance on every backend whatever the mix",
 		Run:   runE18,
 	})
 }
@@ -82,7 +82,8 @@ func strongSetOps(b repro.Backend, procs int) (add, remove, contains func(int, u
 
 // driveSetMix prefills every other key (descending, so the insert
 // position is always the current front and prefilling stays O(1) per
-// key even on the COW backend), then drives procs goroutines of the
+// key on the list engines; the COW backend copies its array once per
+// key whatever the order), then drives procs goroutines of the
 // given mix over keys in [0, keyRange) for the duration with per-key
 // accounting of successful adds and removes. It returns the
 // completed-op count and the accounting arrays for the caller's

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -221,37 +222,36 @@ func TestAdaptersRoundTrip(t *testing.T) {
 }
 
 func TestTicketFIFOUnderContention(t *testing.T) {
-	// Ticket order is FIFO: with two alternating processes each should
-	// complete a similar number of sections. This is a smoke test of
-	// fairness, not a proof; E10 quantifies it.
+	// Ticket order is FIFO, checked exactly. Each round the test holds
+	// the lock, starts waiter 1 and waits until the ticket counter shows
+	// its ticket, then does the same for waiter 2, and unlocks: waiter 1
+	// must be served first. Waiting polls the counter with Gosched, so
+	// the verdict follows the order of steps, not how the scheduler
+	// shares the CPUs.
 	l := NewTicket()
-	const iters = 5000
-	var counts [2]atomic.Int64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for p := 0; p < 2; p++ {
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+	const rounds = 200
+	var served []int // appended under l
+	for r := 0; r < rounds; r++ {
+		served = served[:0]
+		l.Lock()
+		first := l.next.Load()
+		var wg sync.WaitGroup
+		for w := 1; w <= 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
 				l.Lock()
-				counts[pid].Add(1)
+				served = append(served, w)
 				l.Unlock()
+			}()
+			for l.next.Load() != first+uint64(w) {
+				runtime.Gosched()
 			}
-		}(p)
-	}
-	// Let them run until one side has done iters sections.
-	for counts[0].Load() < iters && counts[1].Load() < iters {
-	}
-	close(stop)
-	wg.Wait()
-	a, b := counts[0].Load(), counts[1].Load()
-	if a == 0 || b == 0 {
-		t.Fatalf("one process starved: counts = %d, %d", a, b)
+		}
+		l.Unlock()
+		wg.Wait()
+		if len(served) != 2 || served[0] != 1 || served[1] != 2 {
+			t.Fatalf("round %d: waiters served in order %v, want [1 2] (ticket order)", r, served)
+		}
 	}
 }

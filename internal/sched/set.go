@@ -72,7 +72,7 @@ func (a hashAdapter) TryContains(pid int, k uint64) (bool, error) {
 type SetBackend int
 
 const (
-	// CowSet is the abortable copy-on-write sorted list (one boxed
+	// CowSet is the abortable copy-on-write sorted array (one boxed
 	// root register).
 	CowSet SetBackend = iota
 	// HarrisSet is the Harris/Michael lock-free list over pooled,

@@ -1,38 +1,40 @@
 package set
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/memory"
 )
 
-// cowNode is one immutable cell of the copy-on-write sorted list.
-// Nodes are never mutated after publication: an update path-copies the
-// prefix it changes and shares the untouched suffix.
-type cowNode struct {
-	key  uint64
-	next *cowNode
-	// sealed is set only on the wrapper node installed by Seal: the
-	// wrapper is not an element, it freezes the list hanging off next.
+// cowState is one immutable version of the copy-on-write set: its keys
+// in strictly ascending order, and whether Seal froze it. Neither the
+// record nor the array behind keys is written after publication, so a
+// Seal record may share its predecessor's array.
+type cowState struct {
+	keys   []uint64
 	sealed bool
 }
 
 // Abortable is the set tier's Figure 1 analogue: an abortable sorted
-// set whose entire state hangs off one boxed root register. Because
-// nodes are immutable and suffixes are shared, pointer identity of the
-// root implies identity of the whole abstract state — so a single CAS
-// on the root is a correct "compare the set, swap the set", the exact
-// role TOP plays for the paper's weak stack. A mutating attempt that
-// loses the root CAS returns ErrAborted with no effect; a solo attempt
-// never aborts.
+// set whose entire state hangs off one boxed root register holding an
+// immutable sorted array. Because published arrays are never mutated,
+// pointer identity of the root implies identity of the whole abstract
+// state — so a single CAS on the root is a correct "compare the set,
+// swap the set", the exact role TOP plays for the paper's weak stack.
+// A mutating attempt that loses the root CAS returns ErrAborted with no
+// effect; a solo attempt never aborts.
 //
 // TryContains (and the read-only outcomes of TryAdd/TryRemove — key
 // already present / already absent) linearize at the single root read
-// and never abort: membership checks are wait-free. The flip side is
-// that all updates interfere at the root even on disjoint keys; Harris
-// is the backend that trades the simple abort discipline for
+// and never abort: membership checks are wait-free, O(log n) binary
+// searches of private immutable memory. A successful update copies the
+// array around its key (O(n) memmove) and allocates the new array plus
+// its record. All updates interfere at the root even on disjoint keys;
+// Harris is the backend that trades the simple abort discipline for
 // disjoint-window parallelism.
 type Abortable struct {
-	root *memory.Ref[cowNode]
+	root *memory.Ref[cowState]
 }
 
 // NewAbortable returns an empty abortable set.
@@ -42,33 +44,24 @@ func NewAbortable() *Abortable {
 
 // NewAbortableObserved returns an abortable set whose root accesses
 // are reported to obs first (nil disables instrumentation); the
-// deterministic scheduler gates on them. Node memory is private and
-// immutable, so the root is the object's only shared register.
+// deterministic scheduler gates on them. The key arrays are private
+// and immutable, so the root is the object's only shared register.
 func NewAbortableObserved(obs memory.Observer) *Abortable {
-	return &Abortable{root: memory.NewRefObserved[cowNode](nil, obs)}
+	return NewAbortableSorted(nil, obs)
 }
 
-// search walks the immutable list from head to k's window: it returns
-// the node holding k (or nil) and the nodes strictly before k, oldest
-// first, for path copying.
-func search(head *cowNode, k uint64) (prefix []*cowNode, at *cowNode, suffix *cowNode) {
-	n := head
-	for n != nil && n.key < k {
-		prefix = append(prefix, n)
-		n = n.next
+// NewAbortableSorted returns an abortable set holding keys, which must
+// be strictly ascending (a Snapshot of any set in this package is). It
+// copies keys into one new array and touches no shared register, so a
+// migration can rebuild a set of n keys in O(n) instead of n updates.
+// Root accesses are reported to obs as in NewAbortableObserved.
+func NewAbortableSorted(keys []uint64, obs memory.Observer) *Abortable {
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
+			panic("set: NewAbortableSorted keys not strictly ascending")
+		}
 	}
-	if n != nil && n.key == k {
-		return prefix, n, n.next
-	}
-	return prefix, nil, n
-}
-
-// rebuild copies prefix (in order) onto tail and returns the new head.
-func rebuild(prefix []*cowNode, tail *cowNode) *cowNode {
-	for i := len(prefix) - 1; i >= 0; i-- {
-		tail = &cowNode{key: prefix[i].key, next: tail}
-	}
-	return tail
+	return &Abortable{root: memory.NewRefObserved(&cowState{keys: slices.Clone(keys)}, obs)}
 }
 
 // TryAdd is one attempt to insert k. It returns (true, nil) when k was
@@ -77,15 +70,18 @@ func rebuild(prefix []*cowNode, tail *cowNode) *cowNode {
 // a concurrent update won the root CAS.
 func (s *Abortable) TryAdd(k uint64) (bool, error) {
 	old := s.root.Read()
-	if old != nil && old.sealed {
+	if old.sealed {
 		return false, ErrSealed
 	}
-	prefix, at, suffix := search(old, k)
-	if at != nil {
+	i, found := slices.BinarySearch(old.keys, k)
+	if found {
 		return false, nil
 	}
-	head := rebuild(prefix, &cowNode{key: k, next: suffix})
-	if s.root.CAS(old, head) {
+	keys := make([]uint64, len(old.keys)+1)
+	copy(keys, old.keys[:i])
+	keys[i] = k
+	copy(keys[i+1:], old.keys[i:])
+	if s.root.CAS(old, &cowState{keys: keys}) {
 		return true, nil
 	}
 	return false, ErrAborted
@@ -96,34 +92,30 @@ func (s *Abortable) TryAdd(k uint64) (bool, error) {
 // on interference.
 func (s *Abortable) TryRemove(k uint64) (bool, error) {
 	old := s.root.Read()
-	if old != nil && old.sealed {
+	if old.sealed {
 		return false, ErrSealed
 	}
-	prefix, at, suffix := search(old, k)
-	if at == nil {
+	i, found := slices.BinarySearch(old.keys, k)
+	if !found {
 		return false, nil
 	}
-	head := rebuild(prefix, suffix)
-	if s.root.CAS(old, head) {
+	keys := make([]uint64, len(old.keys)-1)
+	copy(keys, old.keys[:i])
+	copy(keys[i:], old.keys[i+1:])
+	if s.root.CAS(old, &cowState{keys: keys}) {
 		return true, nil
 	}
 	return false, ErrAborted
 }
 
 // TryContains reports whether k is in the set. It reads one shared
-// register and then walks private immutable memory: wait-free,
-// allocation-free (unlike the update paths it never accumulates a
-// prefix), and the error is always nil (it satisfies Weak so the
-// strong constructions can treat the three operations uniformly).
+// register and then binary-searches private immutable memory:
+// wait-free, allocation-free, and the error is always nil (it
+// satisfies Weak so the strong constructions can treat the three
+// operations uniformly). A sealed root still answers reads.
 func (s *Abortable) TryContains(k uint64) (bool, error) {
-	n := s.root.Read()
-	if n != nil && n.sealed {
-		n = n.next
-	}
-	for n != nil && n.key < k {
-		n = n.next
-	}
-	return n != nil && n.key == k, nil
+	_, found := slices.BinarySearch(s.root.Read().keys, k)
+	return found, nil
 }
 
 // Contains is TryContains without the vestigial error.
@@ -132,49 +124,34 @@ func (s *Abortable) Contains(k uint64) bool {
 	return ok
 }
 
-// Len returns the number of keys (a wait-free snapshot walk).
+// Len returns the number of keys (one root read).
 func (s *Abortable) Len() int {
-	n := 0
-	c := s.root.Read()
-	if c != nil && c.sealed {
-		c = c.next
-	}
-	for ; c != nil; c = c.next {
-		n++
-	}
-	return n
+	return len(s.root.Read().keys)
 }
 
 // Snapshot returns the keys in ascending order, from one atomic root
-// read.
+// read. The result is a fresh copy: the published array is shared
+// immutable state, so the caller may modify what it gets.
 func (s *Abortable) Snapshot() []uint64 {
-	var out []uint64
-	c := s.root.Read()
-	if c != nil && c.sealed {
-		c = c.next
-	}
-	for ; c != nil; c = c.next {
-		out = append(out, c.key)
-	}
-	return out
+	return slices.Clone(s.root.Read().keys)
 }
 
 // Seal is one attempt to freeze the set for migration: it CASes the
-// root to a wrapper node that retains the current list but makes every
-// later update attempt return ErrSealed. Reads keep working through the
-// wrapper. Crucially, an update that read the root before the seal
-// landed fails its root CAS (the register no longer holds the head it
-// read) — sealing wins every race with in-flight writers, so the
+// root to a sealed record sharing the current key array, which makes
+// every later update attempt return ErrSealed. Reads keep working
+// through it. Crucially, an update that read the root before the seal
+// landed fails its root CAS (the register no longer holds the record
+// it read) — sealing wins every race with in-flight writers, so the
 // snapshot taken after a successful Seal is the set's final abstract
 // state. Seal returns nil when the set is sealed after the call
 // (freshly, or already — sealing is idempotent) and ErrAborted when a
 // concurrent update won the root CAS; a sealed root is never unsealed.
 func (s *Abortable) Seal() error {
 	old := s.root.Read()
-	if old != nil && old.sealed {
+	if old.sealed {
 		return nil
 	}
-	if s.root.CAS(old, &cowNode{sealed: true, next: old}) {
+	if s.root.CAS(old, &cowState{keys: old.keys, sealed: true}) {
 		return nil
 	}
 	return ErrAborted
@@ -182,8 +159,7 @@ func (s *Abortable) Seal() error {
 
 // Sealed reports whether the set is frozen (one root read).
 func (s *Abortable) Sealed() bool {
-	n := s.root.Read()
-	return n != nil && n.sealed
+	return s.root.Read().sealed
 }
 
 // Progress classifies the weak set: abortable, hence on the

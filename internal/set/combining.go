@@ -26,7 +26,8 @@ type setOp struct {
 // combiner serves the whole batch per lock acquisition (see
 // internal/combine). Because the weak backend's updates all CAS one
 // root register, batching is particularly effective here: a combining
-// pass applies its whole batch without ever losing a CAS.
+// pass applies its whole batch without ever losing a CAS (each applied
+// update still copies the sorted key array once).
 type Combining struct {
 	weak Weak
 	core *combine.Core[setOp, bool]

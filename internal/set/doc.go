@@ -8,17 +8,18 @@
 // concurrency trade-offs become visible; see PAPERS.md).
 //
 // Keys are uint64 throughout the tier (map richer domains through an
-// index or hash). Two weak/lock-free list designs anchor the ladder:
+// index or hash). Two weak/lock-free sorted-set designs anchor the
+// ladder:
 //
 //   - Abortable — the Figure 1 pattern on a copy-on-write sorted
-//     list: one boxed root register carries the whole (immutable)
-//     list, a mutating attempt path-copies down to its window and
-//     CASes the root, aborting on interference. Contains reads the
-//     root once and walks private immutable memory: wait-free, never
-//     aborts. Updates serialize at the root — the price paid for a weak
-//     object this simple; the ladder's strong constructions
-//     (Sensitive, NonBlocking, Combining) stack over it exactly as
-//     over the weak stack.
+//     array: one boxed root register carries the whole (immutable)
+//     key array, a mutating attempt copies it with its key inserted
+//     or removed and CASes the root, aborting on interference.
+//     Contains reads the root once and binary-searches private
+//     immutable memory: wait-free, never aborts. Updates serialize at
+//     the root — the price paid for a weak object this simple; the
+//     ladder's strong constructions (Sensitive, NonBlocking,
+//     Combining) stack over it exactly as over the weak stack.
 //   - Harris — the Harris/Michael lock-free linked list (Harris,
 //     DISC 2001; Michael, SPAA 2002) over pooled, recycled nodes with
 //     tagged 〈handle, seqnb〉 next registers (memory.TaggedRef plus the
@@ -26,9 +27,10 @@
 //     node recycling makes §2.2's ABA real on every next register and
 //     the tags are load-bearing, as in the allocation tier.
 //
-// Both lists pay per-operation work that grows with the resident key
-// count. Hash is the exit: the split-ordered hash layer (Shalev &
-// Shavit, J.ACM 2006) over the same Harris engine — one list in
+// Both pay per-update work that grows with the resident key count
+// (Harris pays it on reads too). Hash is the exit: the split-ordered
+// hash layer (Shalev & Shavit, J.ACM 2006) over the same Harris
+// engine — one list in
 // bit-reversed key order, a lazily split, CAS-doubled bucket array of
 // sentinel shortcuts into it — bringing Add/Remove/Contains to O(1)
 // expected while reusing the mark/unlink, tag-validation and

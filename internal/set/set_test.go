@@ -67,7 +67,7 @@ func TestBackendsMatchSpecSolo(t *testing.T) {
 	}
 }
 
-// TestAbortableSnapshotSorted checks the COW list's quiescent views.
+// TestAbortableSnapshotSorted checks the COW set's quiescent views.
 func TestAbortableSnapshotSorted(t *testing.T) {
 	s := NewAbortable()
 	for _, k := range []uint64{5, 1, 9, 3, 7, 1, 9} {

@@ -293,9 +293,10 @@ func NewAbortableDeque(k int) *AbortableDeque { return deque.NewAbortable(k) }
 func NewNonBlockingDeque(k int) *NonBlockingDeque { return deque.NewNonBlocking(k) }
 
 // Set is the contention-sensitive, starvation-free sorted set: the
-// Figure 3 construction over the abortable copy-on-write list.
+// Figure 3 construction over the abortable copy-on-write sorted array.
 // Updates are starvation-free; Contains is wait-free (one shared read
-// plus a walk of immutable private memory) and bypasses the guard.
+// plus a binary search of immutable private memory) and bypasses the
+// guard.
 // Keys are uint64 throughout the set tier. Use NewSet.
 type Set = set.Sensitive
 
